@@ -8,11 +8,12 @@
 //! ```
 //!
 //! Exits `0` when every phase (and step total) of every baseline size
-//! is within tolerance of the fresh measurement, non-zero past it — so
-//! it can sit directly in CI or a pre-merge hook. On hardware other
+//! is within tolerance of the fresh measurement, `1` past it — so it
+//! can sit directly in CI or a pre-merge hook — and `2` on bad usage or
+//! an unreadable baseline (`--help` prints the usage). On hardware other
 //! than the one that produced the baseline the absolute times shift
 //! wholesale; run with a generous `--tolerance` there (the CI job uses
-//! `0.5` and is informational).
+//! `3.0`).
 //!
 //! Options:
 //! * `--baseline PATH` — baseline file (default: the repo's
@@ -31,13 +32,16 @@
 //!   gating job fast while the full ladder stays in the baseline for
 //!   local runs.
 
+use mdm_bench::cli::{exit_error, Args};
 use mdm_bench::stepprof::{
-    append_to_ledger, backend_of_label, cells_for_particles, profile_size_repeat_lr,
-    DEFAULT_REPEAT,
+    append_to_ledger, backend_of_label, cells_for_particles, profile_size_repeat_lr, DEFAULT_REPEAT,
 };
-use mdm_profile::compare::CompareReport;
-use mdm_profile::report::{BenchFile, StepReport};
+use mdm_profile::gate::Gate;
+use mdm_profile::summary::{parse_bench_file, RunSummary};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: bench_compare [--baseline PATH] [--tolerance T] [--min-seconds S] \
+[--steps K] [--repeat R] [--only N1,N2,...]";
 
 fn main() -> ExitCode {
     let mut baseline_path: String =
@@ -48,80 +52,59 @@ fn main() -> ExitCode {
     let mut repeat: u64 = DEFAULT_REPEAT;
     let mut only: Option<Vec<u64>> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--baseline" => {
-                baseline_path = args.next().expect("--baseline needs a path");
-            }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tolerance needs a number");
-                assert!(tolerance >= 0.0, "--tolerance must be non-negative");
-            }
-            "--min-seconds" => {
-                min_seconds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-seconds needs a number");
-            }
-            "--steps" => {
-                let k: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--steps needs a positive integer");
-                assert!(k >= 1, "--steps needs a positive integer");
-                steps_override = Some(k);
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repeat needs a positive integer");
-                assert!(repeat >= 1, "--repeat needs a positive integer");
-            }
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--baseline" => baseline_path = args.value(&flag),
+            "--tolerance" => tolerance = args.value(&flag),
+            "--min-seconds" => min_seconds = args.value(&flag),
+            "--steps" => steps_override = Some(args.value(&flag)),
+            "--repeat" => repeat = args.value(&flag),
             "--only" => {
-                only = Some(
-                    args.next()
-                        .expect("--only needs a comma-separated list of particle counts")
-                        .split(',')
-                        .map(|v| v.parse().expect("--only sizes must be integers"))
-                        .collect(),
-                );
+                let list: String = args.value(&flag);
+                let sizes = list.split(',').map(str::parse).collect::<Result<_, _>>();
+                only = Some(sizes.unwrap_or_else(|_| {
+                    args.fail(format!(
+                        "--only needs comma-separated particle counts, got {list:?}"
+                    ))
+                }));
             }
-            other => panic!(
-                "unknown option {other:?} (try --baseline, --tolerance, --min-seconds, --steps, --repeat, --only)"
-            ),
+            other => args.fail(format!("unknown option {other:?}")),
         }
+    }
+    if tolerance < 0.0 {
+        args.fail("--tolerance must be non-negative");
+    }
+    if steps_override == Some(0) || repeat == 0 {
+        args.fail("--steps and --repeat need positive integers");
     }
 
     let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let mut baseline = BenchFile::from_json_str(&text)
-        .unwrap_or_else(|e| panic!("parse baseline {baseline_path}: {e}"));
+        .unwrap_or_else(|e| exit_error(format!("read baseline {baseline_path}: {e}")));
+    let mut baseline = parse_bench_file(&text)
+        .unwrap_or_else(|e| exit_error(format!("parse baseline {baseline_path}: {e}")));
     if let Some(sizes) = &only {
-        for &n in sizes {
-            assert!(
-                baseline.reports.iter().any(|r| r.n_particles == n),
-                "--only {n}: no such size in {baseline_path}"
-            );
+        if let Some(n) = sizes
+            .iter()
+            .find(|&&n| !baseline.iter().any(|r| r.n_particles == n))
+        {
+            args.fail(format!("--only {n}: no such size in {baseline_path}"));
         }
-        baseline.reports.retain(|r| sizes.contains(&r.n_particles));
+        baseline.retain(|r| sizes.contains(&r.n_particles));
     }
 
     // Re-measure every size the baseline covers, at the same (or the
-    // overridden) step count.
-    let reports: Vec<StepReport> = baseline
-        .reports
+    // overridden) step count. Every fresh re-measurement becomes ledger
+    // history — this is what feeds the cross-run `mdm_report` trend per
+    // label.
+    let current: Vec<RunSummary> = baseline
         .iter()
         .map(|base| {
             let cells = cells_for_particles(base.n_particles).unwrap_or_else(|| {
-                panic!(
+                exit_error(format!(
                     "baseline report {} has non-rocksalt N = {}",
                     base.label, base.n_particles
-                )
+                ))
             });
             let steps = steps_override.unwrap_or(base.steps.max(1));
             // Rows labelled `-lr-{backend}` were measured with that
@@ -131,27 +114,19 @@ fn main() -> ExitCode {
                 "re-measuring {} (N = {}, {cells} cells per side, {steps} steps, best of {repeat}, longrange={backend})...",
                 base.label, base.n_particles
             );
-            profile_size_repeat_lr(cells, steps, repeat, false, backend)
+            let mut summary = profile_size_repeat_lr(cells, steps, repeat, false, backend);
+            summary.tool = "bench_compare".to_string();
+            append_to_ledger(&summary);
+            summary
         })
         .collect();
-    let current = BenchFile {
-        command: "cargo run --release -p mdm-bench --bin bench_compare".to_string(),
-        version: baseline.version,
-        reports,
-    };
 
-    // Every fresh re-measurement becomes ledger history — this is what
-    // feeds the cross-run `mdm_report` trend per label.
-    for report in &current.reports {
-        append_to_ledger("bench_compare", report);
-    }
-
-    let report = CompareReport::compare(&baseline, &current, tolerance, min_seconds);
+    let gate = Gate::against_baseline(&baseline, &current, tolerance, min_seconds);
     println!("bench_compare: fresh measurement vs {baseline_path}");
     println!();
-    print!("{}", report.render_table());
+    print!("{}", gate.render_table());
 
-    if report.passed() {
+    if gate.passed() {
         println!("PASS");
         ExitCode::SUCCESS
     } else {

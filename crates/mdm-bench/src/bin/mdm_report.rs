@@ -2,10 +2,11 @@
 //!
 //! Reads the run ledger (`results/ledger.jsonl`, one line per
 //! bench/instrumented invocation) and the committed `BENCH_step.json`
-//! baseline, renders the dashboard, and exits non-zero when the latest
-//! run of any `tool:label` group is slower than its trailing median by
-//! more than the tolerance (see `mdm_bench::dashboard` for the rule
-//! and its minimum-history guard).
+//! baseline, renders the dashboard, and exits `1` when the latest run
+//! of any `tool:label` group is slower than its trailing median by more
+//! than the tolerance (see `mdm_profile::gate` for the rule and its
+//! minimum-history guard), `2` on bad usage or unreadable input
+//! (`--help` prints the usage).
 //!
 //! ```text
 //! cargo run --release -p mdm-bench --bin mdm_report                 # markdown to stdout
@@ -26,8 +27,12 @@
 //!   0.5 = 50% over the trailing median);
 //! * `--window K` — trailing runs the median is taken over (default 10).
 
+use mdm_bench::cli::{exit_error, Args};
 use mdm_bench::dashboard::{Dashboard, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
-use mdm_profile::report::BenchFile;
+use mdm_profile::summary::parse_bench_file;
+
+const USAGE: &str = "usage: mdm_report [--ledger PATH] [--bench PATH] [--out PATH] [--html PATH] \
+[--tolerance F] [--window K]";
 
 fn main() {
     let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -38,63 +43,52 @@ fn main() {
     let mut tolerance = DEFAULT_TOLERANCE;
     let mut window = DEFAULT_WINDOW;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--ledger" => ledger_path = args.next().expect("--ledger needs a path"),
-            "--bench" => bench_path = args.next().expect("--bench needs a path"),
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            "--html" => html_path = Some(args.next().expect("--html needs a path")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tolerance needs a fraction (e.g. 0.5)");
-                assert!(tolerance >= 0.0, "--tolerance must be non-negative");
-            }
-            "--window" => {
-                window = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--window needs a positive integer");
-                assert!(window >= 1, "--window needs a positive integer");
-            }
-            other => panic!(
-                "unknown option {other:?} (try --ledger, --bench, --out, --html, --tolerance, --window)"
-            ),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--ledger" => ledger_path = args.value(&flag),
+            "--bench" => bench_path = args.value(&flag),
+            "--out" => out_path = Some(args.value(&flag)),
+            "--html" => html_path = Some(args.value(&flag)),
+            "--tolerance" => tolerance = args.value(&flag),
+            "--window" => window = args.value(&flag),
+            other => args.fail(format!("unknown option {other:?}")),
         }
+    }
+    if tolerance < 0.0 {
+        args.fail("--tolerance must be non-negative");
+    }
+    if window == 0 {
+        args.fail("--window needs a positive integer");
     }
 
     let (records, skipped) = mdm_profile::ledger::read_ledger(ledger_path.as_ref())
-        .unwrap_or_else(|e| panic!("read {ledger_path}: {e}"));
-    let bench = std::fs::read_to_string(&bench_path)
-        .ok()
-        .map(|text| {
-            BenchFile::from_json_str(&text).unwrap_or_else(|e| panic!("parse {bench_path}: {e}"))
-        });
+        .unwrap_or_else(|e| exit_error(format!("read {ledger_path}: {e}")));
+    let bench = std::fs::read_to_string(&bench_path).ok().map(|text| {
+        parse_bench_file(&text).unwrap_or_else(|e| exit_error(format!("parse {bench_path}: {e}")))
+    });
 
-    let dash = Dashboard::build(&records, skipped, bench.as_ref(), tolerance, window);
-    let markdown = dash.to_markdown();
+    let dash = Dashboard::build(&records, skipped, bench.as_deref(), tolerance, window);
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).unwrap_or_else(|e| exit_error(format!("write {path}: {e}")));
+        eprintln!("wrote {path}");
+    };
     match &out_path {
-        Some(path) => {
-            std::fs::write(path, &markdown).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
-        None => print!("{markdown}"),
+        Some(path) => write(path, dash.to_markdown()),
+        None => print!("{}", dash.to_markdown()),
     }
     if let Some(path) = &html_path {
-        std::fs::write(path, dash.to_html()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
+        write(path, dash.to_html());
     }
 
     if dash.has_regressions() {
         for g in dash.regressions() {
             eprintln!(
                 "REGRESSION {}: {:.3e} s/step vs trailing median {:.3e} ({:+.1}%, tolerance {:.0}%)",
-                g.key,
-                g.latest.wall_seconds_per_step,
-                g.median_prior.unwrap_or(f64::NAN),
-                (g.ratio.unwrap_or(1.0) - 1.0) * 100.0,
+                g.verdict.key,
+                g.latest.seconds_per_step,
+                g.verdict.reference.unwrap_or(f64::NAN),
+                g.verdict.rel_change() * 100.0,
                 tolerance * 100.0
             );
         }

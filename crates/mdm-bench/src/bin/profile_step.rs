@@ -63,15 +63,15 @@
 //!   ledger row's `critical_path` column.
 
 use mdm_bench::stepprof::{
-    append_to_ledger_annotated, cells_for_particles, modeled_step, profile_size_repeat_lr,
-    profile_size_streamed, profile_world, DEFAULT_REPEAT,
+    append_to_ledger, cells_for_particles, profile_size_repeat_lr, profile_size_streamed,
+    profile_world, DEFAULT_REPEAT,
 };
 use mdm_host::parallel::ParallelConfig;
 use mdm_host::telemetry::{serve, ServeOptions};
 use mdm_profile::bus::Bus;
 use mdm_profile::critical_path::{critical_path, CriticalPathReport};
 use mdm_profile::events::RunManifest;
-use mdm_profile::report::{BenchFile, StepReport};
+use mdm_profile::summary::{bench_file_json, RunSummary};
 use mdm_profile::Timeline;
 
 /// Format an emulation slowdown factor (`< 1` means the emulated path
@@ -84,7 +84,7 @@ fn slowdown(ratio: f64) -> String {
     }
 }
 
-fn print_report(report: &StepReport) {
+fn print_report(report: &RunSummary) {
     println!(
         "== {} (N = {}, {} step{} averaged) ==",
         report.label,
@@ -118,16 +118,16 @@ fn print_report(report: &StepReport) {
         "  {:<12} {:>18}   (coverage {:.1}% of wall step)",
         "sum(phases)",
         mdm_bench::sci(report.phase_sum_seconds()),
-        100.0 * report.phase_sum_seconds() / report.total_seconds
+        100.0 * report.phase_sum_seconds() / report.seconds_per_step
     );
-    let modeled = modeled_step(report);
+    let modeled = report.modeled_step();
     if modeled > 0.0 {
         println!(
             "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
             "t_step",
-            mdm_bench::sci(report.total_seconds),
+            mdm_bench::sci(report.seconds_per_step),
             mdm_bench::sci(modeled),
-            slowdown(report.total_seconds / modeled)
+            slowdown(report.seconds_per_step / modeled)
         );
     } else {
         // No cycle counters to model from (e.g. --world runs the
@@ -135,7 +135,7 @@ fn print_report(report: &StepReport) {
         println!(
             "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
             "t_step",
-            mdm_bench::sci(report.total_seconds),
+            mdm_bench::sci(report.seconds_per_step),
             "-",
             "-"
         );
@@ -203,12 +203,12 @@ fn merge_timelines(timelines: Vec<Timeline>) -> Timeline {
 
 /// Run one measurement inside its own timeline session (when wanted),
 /// banking the timeline and optionally its critical-path analysis.
-fn with_timeline<F: FnOnce() -> StepReport>(
+fn with_timeline<F: FnOnce() -> RunSummary>(
     want_timeline: bool,
     want_critical_path: bool,
     timelines: &mut Vec<Timeline>,
     measure: F,
-) -> (StepReport, Option<CriticalPathReport>) {
+) -> (RunSummary, Option<CriticalPathReport>) {
     if want_timeline {
         mdm_profile::timeline_start();
     }
@@ -352,7 +352,7 @@ fn main() {
 
     let want_timeline = trace_path.is_some() || want_critical_path;
     let mut timelines: Vec<Timeline> = Vec::new();
-    let mut results: Vec<(StepReport, Option<CriticalPathReport>)> = Vec::new();
+    let mut results: Vec<(RunSummary, Option<CriticalPathReport>)> = Vec::new();
     for &c in &cells {
         eprintln!(
             "profiling {} particles ({c} cells per side, longrange={longrange})...",
@@ -427,31 +427,27 @@ fn main() {
     println!("(Table 4 decomposition; the slowdown column is the emulation cost)");
     println!();
     let bus_dropped = bus.as_ref().map_or(0, Bus::dropped_events);
-    for (report, analysis) in &results {
-        print_report(report);
-        if let Some(analysis) = analysis {
+    let mut summaries = Vec::with_capacity(results.len());
+    for (mut summary, analysis) in results {
+        print_report(&summary);
+        if let Some(analysis) = &analysis {
             for line in analysis.to_lines() {
                 println!("  {line}");
             }
             println!();
         }
-        append_to_ledger_annotated(
-            "profile_step",
-            report,
-            analysis.as_ref().and_then(|a| a.bottleneck.as_deref()),
-            bus_dropped,
-        );
+        summary.tool = "profile_step".to_string();
+        summary.critical_path = analysis.and_then(|a| a.bottleneck);
+        summary.bus_dropped_events = bus_dropped;
+        append_to_ledger(&summary);
+        summaries.push(summary);
     }
 
     if json {
-        let file = BenchFile {
-            command: "cargo run --release -p mdm-bench --bin profile_step -- --json"
-                .to_string(),
-            version: 1,
-            reports: results.into_iter().map(|(report, _)| report).collect(),
-        };
+        let command = "cargo run --release -p mdm-bench --bin profile_step -- --json";
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_step.json");
-        std::fs::write(path, file.to_json_string()).expect("write BENCH_step.json");
+        std::fs::write(path, bench_file_json(command, &summaries))
+            .expect("write BENCH_step.json");
         println!("wrote {path}");
     }
 }

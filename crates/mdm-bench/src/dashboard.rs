@@ -1,31 +1,19 @@
 //! The cross-run regression dashboard behind the `mdm_report` binary.
 //!
-//! Input: the run ledger (`results/ledger.jsonl`, one [`RunRecord`] per
-//! bench/instrumented invocation — see [`mdm_profile::ledger`]) plus
-//! the committed `BENCH_step.json` baseline. Output: a rendered
-//! dashboard (markdown or HTML) with one trend row per `tool:label`
-//! group, the latest utilization gauges, and the accuracy trajectory —
-//! and a machine verdict: did the *latest* run of any group regress
-//! beyond tolerance against its own trailing history?
-//!
-//! The regression rule is deliberately simple and robust to the noise
-//! of shared CI machines: within each group the latest
-//! `wall_seconds_per_step` is compared against the **median** of up to
-//! `window` preceding runs; only `latest > median × (1 + tolerance)`
-//! counts as a regression, and a group with fewer than
-//! [`MIN_HISTORY`] prior runs is never judged (one slow first run must
-//! not brick the gate).
+//! Input: the run ledger (`results/ledger.jsonl`, one
+//! [`RunSummary`] per bench/instrumented invocation — see
+//! [`mdm_profile::ledger`]) plus the committed `BENCH_step.json`
+//! baseline. Output: a rendered dashboard (markdown or HTML) with one
+//! trend row per `tool:label` group, the latest utilization gauges, and
+//! the accuracy trajectory — and a machine verdict: did the *latest*
+//! run of any group regress beyond tolerance against its own trailing
+//! median? The verdicts come from [`Gate::against_history`]; this
+//! module only renders them.
 
-use mdm_profile::ledger::RunRecord;
-use mdm_profile::report::BenchFile;
-use std::collections::BTreeMap;
+use mdm_profile::gate::{group, Gate, GateRow, RowStatus};
+use mdm_profile::summary::RunSummary;
 
-/// Prior runs a group needs before its latest run can be judged.
-pub const MIN_HISTORY: usize = 2;
-
-/// Trailing-window length the median is taken over (in runs), unless
-/// the caller overrides it.
-pub const DEFAULT_WINDOW: usize = 10;
+pub use mdm_profile::gate::DEFAULT_WINDOW;
 
 /// Default regression tolerance: the latest run must be more than 50%
 /// slower than the trailing median to fail. Wide on purpose — the
@@ -37,19 +25,13 @@ pub const DEFAULT_TOLERANCE: f64 = 0.5;
 /// One `tool:label` group's trend summary.
 #[derive(Clone, Debug)]
 pub struct GroupSummary {
-    /// Grouping key: `"{tool}:{label}"`.
-    pub key: String,
     /// Number of ledger rows in the group.
     pub runs: usize,
     /// The most recent row (ledger file order is append order).
-    pub latest: RunRecord,
-    /// Median `wall_seconds_per_step` of the trailing window *before*
-    /// the latest run; `None` with fewer than [`MIN_HISTORY`] priors.
-    pub median_prior: Option<f64>,
-    /// `latest / median_prior`, when judged.
-    pub ratio: Option<f64>,
-    /// True when the latest run exceeds the tolerance band.
-    pub regressed: bool,
+    pub latest: RunSummary,
+    /// The latest run judged against the trailing median (`key` is
+    /// `"{tool}:{label}"`; no reference with too little history).
+    pub verdict: GateRow,
 }
 
 /// The assembled dashboard: group trends plus baseline context.
@@ -68,98 +50,51 @@ pub struct Dashboard {
     pub bench: Vec<(String, f64)>,
 }
 
-/// Group ledger rows by `"{tool}:{label}"`, preserving append order
-/// within each group.
-pub fn group_rows(records: &[RunRecord]) -> BTreeMap<String, Vec<&RunRecord>> {
-    let mut groups: BTreeMap<String, Vec<&RunRecord>> = BTreeMap::new();
-    for record in records {
-        groups
-            .entry(format!("{}:{}", record.tool, record.label))
-            .or_default()
-            .push(record);
-    }
-    groups
-}
-
-/// Median of the finite values in `xs` (midpoint-averaged for even
-/// counts); `None` when nothing finite remains.
-fn median(xs: &[f64]) -> Option<f64> {
-    let mut finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    if finite.is_empty() {
-        return None;
-    }
-    finite.sort_by(|a, b| a.total_cmp(b));
-    let n = finite.len();
-    Some(if n % 2 == 1 {
-        finite[n / 2]
-    } else {
-        0.5 * (finite[n / 2 - 1] + finite[n / 2])
-    })
-}
-
 impl Dashboard {
     /// Assemble the dashboard from parsed ledger rows (`skipped` from
     /// the tolerant reader) and the optional bench baseline.
     pub fn build(
-        records: &[RunRecord],
+        records: &[RunSummary],
         skipped: usize,
-        bench: Option<&BenchFile>,
+        bench: Option<&[RunSummary]>,
         tolerance: f64,
         window: usize,
     ) -> Self {
-        let window = window.max(1);
-        let groups = group_rows(records)
-            .into_iter()
-            .map(|(key, rows)| {
-                let latest: RunRecord = (*rows.last().expect("groups are non-empty")).clone();
-                let prior: Vec<f64> = rows[..rows.len() - 1]
-                    .iter()
-                    .rev()
-                    .take(window)
-                    .map(|r| r.wall_seconds_per_step)
-                    .collect();
-                let median_prior = (prior.len() >= MIN_HISTORY)
-                    .then(|| median(&prior))
-                    .flatten();
-                let ratio = median_prior
-                    .filter(|&m| m > 0.0 && latest.wall_seconds_per_step.is_finite())
-                    .map(|m| latest.wall_seconds_per_step / m);
-                let regressed = ratio.is_some_and(|r| r > 1.0 + tolerance);
-                GroupSummary {
-                    key,
-                    runs: rows.len(),
-                    latest,
-                    median_prior,
-                    ratio,
-                    regressed,
-                }
+        let verdicts = Gate::against_history(records, tolerance, window).rows;
+        // Both iterate the same key-ordered grouping.
+        let groups = group(records)
+            .into_values()
+            .zip(verdicts)
+            .map(|(runs, verdict)| GroupSummary {
+                runs: runs.len(),
+                latest: (*runs.last().expect("groups are non-empty")).clone(),
+                verdict,
             })
             .collect();
-        let bench = bench
-            .map(|file| {
-                file.reports
-                    .iter()
-                    .map(|r| (r.label.clone(), r.total_seconds))
-                    .collect()
-            })
-            .unwrap_or_default();
         Dashboard {
             groups,
             total_rows: records.len(),
             skipped,
             tolerance,
-            bench,
+            bench: bench
+                .unwrap_or_default()
+                .iter()
+                .map(|r| (r.label.clone(), r.seconds_per_step))
+                .collect(),
         }
     }
 
     /// The groups whose latest run regressed.
     pub fn regressions(&self) -> Vec<&GroupSummary> {
-        self.groups.iter().filter(|g| g.regressed).collect()
+        self.groups
+            .iter()
+            .filter(|g| g.verdict.status == RowStatus::Regressed)
+            .collect()
     }
 
     /// True when any group regressed — the `mdm_report` exit gate.
     pub fn has_regressions(&self) -> bool {
-        self.groups.iter().any(|g| g.regressed)
+        !self.regressions().is_empty()
     }
 
     /// Gauge names that appear on any group's latest run, in order —
@@ -193,20 +128,21 @@ impl Dashboard {
         out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
         for g in &self.groups {
             let delta = g
-                .ratio
+                .verdict
+                .ratio()
                 .map(|r| format!("{:+.1}%", (r - 1.0) * 100.0))
                 .unwrap_or_else(|| "-".into());
-            let verdict = match (g.regressed, g.ratio.is_some()) {
-                (true, _) => "**REGRESSED**",
-                (false, true) => "ok",
-                (false, false) => "(no history)",
+            let verdict = match g.verdict.status {
+                RowStatus::Regressed => "**REGRESSED**",
+                RowStatus::Unjudged => "(no history)",
+                status => status.label(),
             };
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                g.key,
+                g.verdict.key,
                 g.runs,
-                sci(g.latest.wall_seconds_per_step),
-                g.median_prior.map(sci).unwrap_or_else(|| "-".into()),
+                sci(g.latest.seconds_per_step),
+                g.verdict.reference.map(sci).unwrap_or_else(|| "-".into()),
                 delta,
                 opt_num(g.latest.raw_tflops, 3),
                 opt_num(g.latest.effective_tflops, 3),
@@ -235,7 +171,7 @@ impl Dashboard {
                             .unwrap_or_else(|| "-".into())
                     })
                     .collect();
-                out.push_str(&format!("| {} | {} |\n", g.key, cells.join(" | ")));
+                out.push_str(&format!("| {} | {} |\n", g.verdict.key, cells.join(" | ")));
             }
             out.push('\n');
         }
@@ -250,9 +186,9 @@ impl Dashboard {
             for g in &probed {
                 out.push_str(&format!(
                     "- {}: {} @ {}\n",
-                    g.key,
+                    g.verdict.key,
                     g.latest.worst_force_error.map(sci).unwrap_or_default(),
-                    short_sha(&g.latest.git_sha)
+                    short_sha(&g.latest.env.git_sha)
                 ));
             }
             out.push('\n');
@@ -275,10 +211,10 @@ impl Dashboard {
             for g in regressions {
                 out.push_str(&format!(
                     "- {}: {} vs trailing median {} ({:+.1}%, tolerance {:.0}%)\n",
-                    g.key,
-                    sci(g.latest.wall_seconds_per_step),
-                    g.median_prior.map(sci).unwrap_or_default(),
-                    (g.ratio.unwrap_or(1.0) - 1.0) * 100.0,
+                    g.verdict.key,
+                    sci(g.latest.seconds_per_step),
+                    g.verdict.reference.map(sci).unwrap_or_default(),
+                    g.verdict.rel_change() * 100.0,
                     self.tolerance * 100.0
                 ));
             }
@@ -374,12 +310,15 @@ fn short_sha(sha: &str) -> &str {
 mod tests {
     use super::*;
 
-    fn row(tool: &str, label: &str, s_per_step: f64) -> RunRecord {
-        RunRecord {
+    fn row(tool: &str, label: &str, s_per_step: f64) -> RunSummary {
+        RunSummary {
             tool: tool.into(),
             label: label.into(),
-            git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
-            wall_seconds_per_step: s_per_step,
+            env: mdm_profile::ledger::EnvStamp {
+                git_sha: "0123456789abcdef0123456789abcdef01234567".into(),
+                ..Default::default()
+            },
+            seconds_per_step: s_per_step,
             n_particles: 4096,
             steps: 2,
             raw_tflops: Some(15.4),
@@ -390,11 +329,11 @@ mod tests {
             ]
             .into_iter()
             .collect(),
-            ..RunRecord::default()
+            ..RunSummary::default()
         }
     }
 
-    fn history(speeds: &[f64]) -> Vec<RunRecord> {
+    fn history(speeds: &[f64]) -> Vec<RunSummary> {
         speeds
             .iter()
             .map(|&s| row("profile_step", "nacl-4096", s))
@@ -407,10 +346,10 @@ mod tests {
         rows.push(row("profile_step", "nacl-4096", 0.20));
         let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(dash.has_regressions());
-        let g = &dash.regressions()[0];
+        let g = &dash.regressions()[0].verdict;
         assert_eq!(g.key, "profile_step:nacl-4096");
-        assert!((g.median_prior.unwrap() - 0.10).abs() < 1e-12);
-        assert!(g.ratio.unwrap() > 1.9);
+        assert!((g.reference.unwrap() - 0.10).abs() < 1e-12);
+        assert!(g.ratio().unwrap() > 1.9);
         assert!(dash.to_markdown().contains("REGRESSED"));
     }
 
@@ -419,8 +358,8 @@ mod tests {
         let rows = history(&[0.10, 0.11, 0.09, 0.10, 0.12]);
         let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(!dash.has_regressions());
-        let g = &dash.groups[0];
-        assert!(g.ratio.is_some(), "judged, just not regressed");
+        let g = &dash.groups[0].verdict;
+        assert!(g.ratio().is_some(), "judged, just not regressed");
         assert!(dash.to_markdown().contains("| ok |"));
         assert!(dash
             .to_markdown()
@@ -434,29 +373,8 @@ mod tests {
         let rows = history(&[0.10, 10.0]);
         let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(!dash.has_regressions());
-        assert_eq!(dash.groups[0].median_prior, None);
+        assert_eq!(dash.groups[0].verdict.reference, None);
         assert!(dash.to_markdown().contains("(no history)"));
-    }
-
-    #[test]
-    fn groups_split_on_tool_and_label() {
-        let rows = vec![
-            row("profile_step", "nacl-512", 0.07),
-            row("bench_compare", "nacl-512", 0.07),
-            row("profile_step", "nacl-4096", 0.9),
-        ];
-        let groups = group_rows(&rows);
-        assert_eq!(groups.len(), 3);
-        assert!(groups.contains_key("profile_step:nacl-512"));
-        assert!(groups.contains_key("bench_compare:nacl-512"));
-    }
-
-    #[test]
-    fn median_is_robust_to_one_outlier_and_nan() {
-        assert_eq!(median(&[0.1, 0.1, 9.9]), Some(0.1));
-        assert_eq!(median(&[1.0, f64::NAN, 3.0]), Some(2.0));
-        assert_eq!(median(&[f64::NAN]), None);
-        assert_eq!(median(&[]), None);
     }
 
     #[test]
@@ -469,7 +387,7 @@ mod tests {
         rows.push(row("profile_step", "nacl-4096", 0.12));
         let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, 5);
         assert!(!dash.has_regressions());
-        assert!((dash.groups[0].median_prior.unwrap() - 0.1).abs() < 1e-12);
+        assert!((dash.groups[0].verdict.reference.unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -489,13 +407,8 @@ mod tests {
 
     #[test]
     fn markdown_renders_utilization_and_baseline() {
-        let bench = BenchFile {
-            command: "profile_step --json".into(),
-            version: 1,
-            reports: vec![],
-        };
         let rows = history(&[0.1, 0.1, 0.1]);
-        let dash = Dashboard::build(&rows, 1, Some(&bench), 0.5, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 1, Some(&[]), 0.5, DEFAULT_WINDOW);
         let md = dash.to_markdown();
         assert!(md.contains("## Utilization"));
         assert!(md.contains("mdg.occupancy"));

@@ -22,6 +22,7 @@
 //! shape claims (real-space work inflation, emulator overheads, α
 //! crossover, cell-list scaling).
 
+pub mod cli;
 pub mod dashboard;
 pub mod figure2;
 pub mod stepprof;

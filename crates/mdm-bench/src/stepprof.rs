@@ -1,6 +1,6 @@
 //! Shared machinery for the step-profiling binaries (`profile_step`,
 //! `bench_compare`): building the emulated-MDM simulation at a given
-//! size and turning profiled steps into a [`StepReport`].
+//! size and turning profiled steps into a [`RunSummary`].
 
 use mdm_core::ewald::EwaldParams;
 use mdm_core::integrate::Simulation;
@@ -10,12 +10,11 @@ use mdm_core::velocities::maxwell_boltzmann;
 use mdm_host::driver::MdmForceField;
 use mdm_host::machines::MachineModel;
 use mdm_host::parallel::{parallel_forces, ParallelConfig};
-use mdm_host::telemetry::{env_stamp, mdm_manifest, run_instrumented, Instruments};
+use mdm_host::telemetry::{env_stamp, mdm_manifest, price_flops, run_instrumented, Instruments};
 use mdm_profile::bus::Bus;
 use mdm_profile::events::FlightRecorder;
-use mdm_profile::ledger::RunRecord;
 use mdm_profile::phase;
-use mdm_profile::report::StepReport;
+use mdm_profile::summary::RunSummary;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -55,24 +54,21 @@ pub fn cells_for_particles(n: u64) -> Option<usize> {
     (cells >= 1 && (8 * cells * cells * cells) as u64 == n).then_some(cells)
 }
 
-/// Build the warm emulated-MDM simulation profiled by [`profile_size`]:
-/// `cells` rocksalt cells per side at the paper's density, molten-salt
-/// velocities, balanced α, energy passes pushed out of the window.
+/// Build the warm emulated-MDM simulation that gets profiled: `cells`
+/// rocksalt cells per side at the paper's density, molten-salt
+/// velocities, balanced α, energy passes pushed out of the window, the
+/// hardware-faithful real-space mode and the `wine2` board.
 pub fn build_sim(cells: usize) -> Simulation<MdmForceField> {
-    build_sim_mode(cells, false)
+    build_sim_lr(cells, false, "wine2")
 }
 
-/// [`build_sim`] with the real-space mode chosen: `n3l = true` turns on
-/// the Newton's-third-law software fast path (each block pair evaluated
-/// once, action and reaction both applied), `false` keeps the
-/// hardware-faithful no-N3L streaming pattern.
-pub fn build_sim_mode(cells: usize, n3l: bool) -> Simulation<MdmForceField> {
-    build_sim_lr(cells, n3l, "wine2")
-}
-
-/// [`build_sim_mode`] with the wavenumber backend chosen by name —
-/// `"wine2"` (the emulated board, the default everywhere), `"ewald"`,
-/// `"pme"`, `"pswf"`, … (see [`mdm_host::driver::LONGRANGE_BACKENDS`]).
+/// [`build_sim`] with the real-space mode and the wavenumber backend
+/// chosen: `n3l = true` turns on the Newton's-third-law software fast
+/// path (each block pair evaluated once, action and reaction both
+/// applied), `false` keeps the hardware-faithful no-N3L streaming
+/// pattern; `longrange` names the backend — `"wine2"` (the emulated
+/// board, the default everywhere), `"ewald"`, `"pme"`, `"pswf"`, … (see
+/// [`mdm_host::driver::LONGRANGE_BACKENDS`]).
 pub fn build_sim_lr(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForceField> {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
@@ -115,116 +111,61 @@ pub fn backend_of_label(label: &str) -> &str {
     label.split("-lr-").nth(1).unwrap_or("wine2")
 }
 
-/// Stamp the modeled per-step hardware times (from the cycle counters
-/// of the last, steady-state step) onto the report's phases.
-fn set_modeled(report: &mut StepReport, sim: &Simulation<MdmForceField>) {
+/// Complete a measured summary: the modeled per-step hardware times
+/// (from the cycle counters of the last, steady-state step), the
+/// measured flop throughput, the thread count and the environment.
+fn finish(mut summary: RunSummary, sim: &Simulation<MdmForceField>) -> RunSummary {
     let counters = sim.force_field().last_counters();
     let machine = MachineModel::mdm_current();
-    report.set_modeled(phase::REAL, counters.mdg.compute_seconds());
-    report.set_modeled(phase::WAVE, counters.wine.compute_seconds());
-    report.set_modeled(
+    summary.set_modeled(phase::REAL, counters.mdg.compute_seconds());
+    summary.set_modeled(phase::WAVE, counters.wine.compute_seconds());
+    summary.set_modeled(
         phase::COMM,
         counters.mdg.bus_seconds() + counters.wine.bus_seconds(),
     );
-    report.set_modeled(
+    summary.set_modeled(
         phase::HOST,
-        200.0 * report.n_particles as f64 / machine.host_flops,
+        200.0 * summary.n_particles as f64 / machine.host_flops,
     );
+    // The paper's flop credits priced against the measured wall-clock:
+    // the emulator's own "calculation speed" column — tiny next to the
+    // real hardware's, but the same arithmetic.
+    price_flops(&mut summary);
+    stamp(summary)
 }
 
-/// Stamp the measured per-phase flop throughput (Gflops) onto the
-/// report: the paper's §2 flop credits (59 per Coulomb pair, 29/35 per
-/// particle–wave) priced against each phase's *measured* wall-clock.
-/// This is the emulator's own "calculation speed" column — tiny next to
-/// the real hardware's, but the same arithmetic.
-fn set_gflops(report: &mut StepReport) {
-    let counter = |r: &StepReport, name: &str| r.counters.get(name).copied().unwrap_or(0) as f64;
-    let phase_total = |r: &StepReport, name: &str| {
-        r.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0.0, |p| p.measured_seconds * r.steps as f64)
-    };
-    let real_seconds = phase_total(report, phase::REAL);
-    if real_seconds > 0.0 {
-        let flops =
-            mdm_core::flops::FLOPS_PER_REAL_PAIR * counter(report, "mdg_coulomb_pair_ops");
-        report.set_gflops(phase::REAL, flops / real_seconds / 1e9);
-    }
-    let wave_seconds = phase_total(report, phase::WAVE);
-    if wave_seconds > 0.0 {
-        let (dft, idft) = (
-            counter(report, "wine_dft_ops"),
-            counter(report, "wine_idft_ops"),
-        );
-        // Paper-credited DFT/IDFT pricing when the wave engine counts
-        // particle–wave ops; mesh backends (PME, PSWF) stamp their
-        // estimated cost on `longrange_flops` instead.
-        let flops = if dft + idft > 0.0 {
-            mdm_core::flops::FLOPS_PER_WAVE_DFT * dft + mdm_core::flops::FLOPS_PER_WAVE_IDFT * idft
-        } else {
-            counter(report, "longrange_flops")
-        };
-        report.set_gflops(phase::WAVE, flops / wave_seconds / 1e9);
-    }
+/// Stamp the worker-thread count, the time and the environment.
+fn stamp(mut summary: RunSummary) -> RunSummary {
+    summary.threads = rayon::current_num_threads() as u64;
+    summary.stamp(&env_stamp());
+    summary
 }
 
-/// Default repetition count for [`profile_size_repeat`] (what the
+/// Default repetition count for [`profile_size_repeat_lr`] (what the
 /// `profile_step` / `bench_compare` `--repeat` flag defaults to).
 pub const DEFAULT_REPEAT: u64 = 3;
 
-/// Run `steps` profiled MD steps at `cells` rocksalt cells per side and
-/// assemble the measured-vs-modeled report. Single unwarmed repetition
-/// — kept for callers that want the raw measurement; baselines should
-/// use [`profile_size_repeat`], which is what made the PR 1 → PR 3
-/// numbers shift wholesale under background load.
-pub fn profile_size(cells: usize, steps: u64) -> StepReport {
-    let mut sim = build_sim(cells);
-    measure_best_of(&mut sim, steps, 1, false)
-}
-
-/// [`profile_size`] with a warmup step plus best-of-`repeat`
-/// repetitions: one untimed step absorbs first-touch effects (page
-/// faults, cache warmup, lazily built tables), then the fastest of
-/// `repeat` timed windows is reported. Minimum-of-K is the standard
-/// answer to scheduler noise — background load only ever *adds* time,
-/// so the minimum is the least-contaminated estimate and `bench_compare`
-/// diffs signal instead of machine load.
-pub fn profile_size_repeat(cells: usize, steps: u64, repeat: u64) -> StepReport {
-    profile_size_repeat_mode(cells, steps, repeat, false)
-}
-
-/// [`profile_size_repeat`] with the real-space mode chosen (see
-/// [`build_sim_mode`]); what `profile_step --n3l` runs.
-pub fn profile_size_repeat_mode(cells: usize, steps: u64, repeat: u64, n3l: bool) -> StepReport {
-    profile_size_repeat_lr(cells, steps, repeat, n3l, "wine2")
-}
-
-/// [`profile_size_repeat_mode`] with the wavenumber backend chosen by
-/// name; non-default backends get `-lr-{name}` appended to the report
-/// label so baseline rows stay distinguishable.
+/// Run `steps` profiled MD steps at `cells` rocksalt cells per side
+/// (real-space mode and wavenumber backend as in [`build_sim_lr`]) and
+/// summarize them, measured against modeled. One untimed warmup step
+/// absorbs first-touch effects (page faults, cache warmup, lazily built
+/// tables), then the fastest of `repeat` timed windows is reported.
+/// Minimum-of-K is the standard answer to scheduler noise — background
+/// load only ever *adds* time, so the minimum is the least-contaminated
+/// estimate and `bench_compare` diffs signal instead of machine load.
+/// Non-default backends get `-lr-{name}` appended to the label so
+/// baseline rows stay distinguishable.
 pub fn profile_size_repeat_lr(
     cells: usize,
     steps: u64,
     repeat: u64,
     n3l: bool,
     longrange: &str,
-) -> StepReport {
+) -> RunSummary {
     assert!(repeat >= 1, "need at least one repetition");
     let mut sim = build_sim_lr(cells, n3l, longrange);
-    measure_best_of(&mut sim, steps, repeat, true)
-}
-
-fn measure_best_of(
-    sim: &mut Simulation<MdmForceField>,
-    steps: u64,
-    repeat: u64,
-    warmup: bool,
-) -> StepReport {
     let n = sim.system().len();
-    if warmup {
-        sim.run(1);
-    }
+    sim.run(1);
     let mut best: Option<(f64, mdm_profile::Profile)> = None;
     for _ in 0..repeat {
         mdm_profile::reset();
@@ -244,7 +185,7 @@ fn measure_best_of(
     } else {
         format!("nacl-{n}-lr-{lr}")
     };
-    let mut report = StepReport::from_profile(
+    let summary = RunSummary::from_profile(
         label,
         n as u64,
         steps,
@@ -252,38 +193,25 @@ fn measure_best_of(
         &profile,
         &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
     );
-    set_modeled(&mut report, sim);
-    set_gflops(&mut report);
-    report
+    finish(summary, &sim)
 }
 
-/// [`profile_size`] with the flight recorder running: every step's
-/// phases, counters, observables, and watchdog verdicts stream to
-/// `sink` as JSONL while the aggregate report is assembled from the
-/// merged per-step profiles. One warmup step runs before the recording
-/// window; repetitions don't apply (the per-step stream *is* the
-/// output, so there is no "best" rep to pick).
-pub fn profile_size_recorded<W: Write>(
-    cells: usize,
-    steps: u64,
-    sink: W,
-) -> io::Result<StepReport> {
-    profile_size_streamed(cells, steps, sink, None)
-}
-
-/// [`profile_size_recorded`] with an optional live telemetry [`Bus`]:
+/// Profile `steps` steps with the flight recorder running: every
+/// step's phases, counters, observables, and watchdog verdicts stream
+/// to `sink` as JSONL while the summary is assembled from the merged
+/// per-step profiles. One warmup step runs before the recording window;
+/// repetitions don't apply (the per-step stream *is* the output, so
+/// there is no "best" rep to pick). With a live telemetry [`Bus`]
 /// the size's manifest is published first (so connected `mdm_top`
 /// viewers re-header when a ladder moves to the next size), then every
 /// step event goes to the recorder *and* the bus — what
-/// `profile_step --serve` runs. The returned report also carries the
-/// run's final bus drop count via the `bus_dropped_events` counter the
-/// run loop stamps on each event.
+/// `profile_step --serve` runs.
 pub fn profile_size_streamed<W: Write>(
     cells: usize,
     steps: u64,
     sink: W,
     bus: Option<&Bus>,
-) -> io::Result<StepReport> {
+) -> io::Result<RunSummary> {
     let mut sim = build_sim(cells);
     sim.run(1);
     let n = sim.system().len();
@@ -316,7 +244,7 @@ pub fn profile_size_streamed<W: Write>(
     )?;
     let total = t0.elapsed().as_secs_f64();
 
-    let mut report = StepReport::from_profile(
+    let summary = RunSummary::from_profile(
         label,
         n as u64,
         steps,
@@ -324,9 +252,7 @@ pub fn profile_size_streamed<W: Write>(
         &run.profile,
         &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
     );
-    set_modeled(&mut report, &sim);
-    set_gflops(&mut report);
-    Ok(report)
+    Ok(finish(summary, &sim))
 }
 
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
@@ -338,7 +264,7 @@ pub fn profile_size_streamed<W: Write>(
 /// `--critical-path` to see which rank chain actually bounds the step.
 /// What `profile_step --world R,W` runs; labeled
 /// `nacl-{n}-world-{R}x{W}`.
-pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> StepReport {
+pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> RunSummary {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
     let l = system.simbox().l();
@@ -356,14 +282,14 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> StepRe
     }
     let total = t0.elapsed().as_secs_f64();
     let profile = mdm_profile::take();
-    StepReport::from_profile(
+    stamp(RunSummary::from_profile(
         label,
         n as u64,
         steps,
         total,
         &profile,
         &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
-    )
+    ))
 }
 
 /// The run ledger every bench binary appends to: one row per
@@ -379,97 +305,28 @@ pub fn default_ledger_path() -> PathBuf {
         })
 }
 
-/// Reduce an aggregate [`StepReport`] to its one-line ledger row.
-///
-/// Speed/accuracy aggregates stay `None` — they belong to the metered
-/// entry points (`accuracy_report`, `run_instrumented`); a step profile
-/// contributes the regression metric, the Table 4 phase decomposition,
-/// throughput, and utilization gauges. Every backend (including the
-/// emulated MDM) reports a virial now, so `pressure_supported` is true.
-pub fn ledger_row(tool: &str, report: &StepReport) -> RunRecord {
-    let mut record = RunRecord {
-        tool: tool.to_string(),
-        label: report.label.clone(),
-        threads: rayon::current_num_threads() as u64,
-        n_particles: report.n_particles,
-        steps: report.steps,
-        wall_seconds_per_step: report.total_seconds,
-        phases: report
-            .phases
-            .iter()
-            .map(|p| (p.name.clone(), p.measured_seconds))
-            .collect(),
-        gflops: report.gflops.clone(),
-        gauges: report.gauges.clone(),
-        pressure_supported: true,
-        ..RunRecord::default()
-    };
-    // Reconstruct the raw step throughput from the per-phase rates:
-    // each Gflops entry is flops over that phase's wall, so
-    // rate x phase seconds recovers the flops, and the sum over the
-    // step wall is the Table 4 "calculation speed" for this run.
-    if !report.gflops.is_empty() && report.total_seconds > 0.0 {
-        let flops: f64 = report
-            .gflops
-            .iter()
-            .filter_map(|(phase, g)| {
-                let seconds = record.phases.get(phase)?;
-                Some(g * 1e9 * seconds)
-            })
-            .sum();
-        if flops > 0.0 {
-            record.raw_tflops = Some(flops / report.total_seconds / 1e12);
-        }
-    }
-    record.stamp_now();
-    record.stamp_env(&env_stamp());
-    record
-}
-
-/// Append `report`'s ledger row to [`default_ledger_path`]. An io
-/// failure is reported, not fatal — the measurement the caller just
-/// printed matters more than the bookkeeping.
-pub fn append_to_ledger(tool: &str, report: &StepReport) {
-    append_to_ledger_annotated(tool, report, None, 0);
-}
-
-/// [`append_to_ledger`] with the live-telemetry annotations stamped on
-/// the row: the critical-path bottleneck label (e.g. `rank1/real`) from
-/// a `--critical-path` analysis, and the run's bus drop count from a
-/// `--serve` stream. Both are trended by `mdm_report`.
-pub fn append_to_ledger_annotated(
-    tool: &str,
-    report: &StepReport,
-    critical_path: Option<&str>,
-    bus_dropped_events: u64,
-) {
-    let mut row = ledger_row(tool, report);
-    row.critical_path = critical_path.map(str::to_string);
-    row.bus_dropped_events = bus_dropped_events;
+/// Append `summary` to [`default_ledger_path`]. An io failure is
+/// reported, not fatal — the measurement the caller just printed
+/// matters more than the bookkeeping.
+pub fn append_to_ledger(summary: &RunSummary) {
     let path = default_ledger_path();
-    match mdm_profile::ledger::append_record(&path, &row) {
-        Ok(()) => eprintln!("ledger: appended {tool}:{} to {}", report.label, path.display()),
-        Err(e) => eprintln!("ledger: SKIPPED {tool}:{} ({}: {e})", report.label, path.display()),
+    let key = format!("{}:{}", summary.tool, summary.label);
+    match mdm_profile::ledger::append_record(&path, summary) {
+        Ok(()) => eprintln!("ledger: appended {key} to {}", path.display()),
+        Err(e) => eprintln!("ledger: SKIPPED {key} ({}: {e})", path.display()),
     }
-}
-
-/// Modeled step time by the Table 4 rule:
-/// `max(t_wine, t_mdg) + t_comm + t_host`.
-pub fn modeled_step(report: &StepReport) -> f64 {
-    let get = |name: &str| {
-        report
-            .phases
-            .iter()
-            .find(|p| p.name == name)
-            .and_then(|p| p.modeled_seconds)
-            .unwrap_or(0.0)
-    };
-    get(phase::REAL).max(get(phase::WAVE)) + get(phase::COMM) + get(phase::HOST)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The profiling registry is process-global and a profiled run
+    /// drains it, so tests that profile must not overlap.
+    fn registry() -> std::sync::MutexGuard<'static, ()> {
+        static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn cells_round_trip_particle_counts() {
@@ -484,10 +341,11 @@ mod tests {
 
     #[test]
     fn recorded_profile_matches_plain_profile_shape() {
+        let _registry = registry();
         // One small recorded step: the report has the Table 4 phases
         // and the JSONL stream parses back with matching N.
         let mut jsonl = Vec::new();
-        let report = profile_size_recorded(3, 1, &mut jsonl).unwrap();
+        let report = profile_size_streamed(3, 1, &mut jsonl, None).unwrap();
         assert_eq!(report.n_particles, 8 * 27);
         assert_eq!(report.phases.len(), 4);
         assert!(report.phases.iter().any(|p| p.name == "real"));
@@ -505,33 +363,27 @@ mod tests {
     }
 
     #[test]
-    fn ledger_row_reduces_a_report() {
-        let report = profile_size(3, 1);
-        let row = ledger_row("profile_step", &report);
-        assert_eq!(row.tool, "profile_step");
-        assert_eq!(row.label, report.label);
-        assert_eq!(row.n_particles, 8 * 27);
-        assert!((row.wall_seconds_per_step - report.total_seconds).abs() < 1e-12);
-        assert!(row.phases.contains_key("real"));
-        assert!(row.phases.contains_key("wave"));
+    fn profiled_summary_is_a_complete_ledger_row() {
+        let _registry = registry();
+        let summary = profile_size_repeat_lr(3, 1, 1, false, "wine2");
+        assert_eq!(summary.n_particles, 8 * 27);
+        assert!(summary.phase("real").is_some());
+        assert!(summary.phase("wave").is_some());
         // The driver's per-device gauges flow through to the row.
-        assert!(row.gauges.contains_key("mdg.occupancy"));
-        assert!(row.gauges.contains_key("wine.occupancy"));
-        assert!(row.pressure_supported);
-        // Raw throughput is rebuilt from the per-phase Gflops rates and
-        // must stay below the sum of the rates (phases share the wall).
-        let rate_sum_tflops: f64 = report.gflops.values().sum::<f64>() / 1e3;
-        let raw = row.raw_tflops.expect("report with gflops gets a raw rate");
+        assert!(summary.gauges.contains_key("mdg.occupancy"));
+        assert!(summary.gauges.contains_key("wine.occupancy"));
+        // Raw throughput is the summed flop credits over the step wall
+        // and must stay below the sum of the per-phase rates (phases
+        // share the wall).
+        let rate_sum_tflops: f64 = summary.gflops.values().sum::<f64>() / 1e3;
+        let raw = summary.raw_tflops.expect("metered summary gets a raw rate");
         assert!(raw > 0.0);
         assert!(raw <= rate_sum_tflops + 1e-12);
-        assert!(row.threads >= 1);
-        assert!(row.timestamp_s > 0);
+        assert!(summary.threads >= 1);
+        assert!(summary.timestamp_s > 0);
         // The row round-trips through the ledger line format.
-        let line = row.to_json().to_compact();
-        let back = RunRecord::from_json(
-            &mdm_profile::json::Value::parse(&line).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(back, row);
+        let line = summary.to_json().to_compact();
+        let back = RunSummary::from_json(&mdm_profile::json::Value::parse(&line).unwrap()).unwrap();
+        assert_eq!(back, summary);
     }
 }

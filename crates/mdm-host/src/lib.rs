@@ -13,7 +13,7 @@
 //!   field entirely through the emulated hardware: four MDGRAPE-2
 //!   passes (Ewald-real Coulomb, Born–Mayer, r⁻⁶, r⁻⁸) plus the WINE-2
 //!   wavenumber part plus host-side self-energy;
-//! * [`mpi`] — the simulated message-passing fabric (crossbeam
+//! * [`mpi`] — the simulated message-passing fabric (`std::sync::mpsc`
 //!   channels) standing in for MPI over Myrinet;
 //! * [`domain`] — the 16-domain decomposition of §4 with halo exchange;
 //! * [`parallel`] — the §4 parallel program: 16 real-space processes +

@@ -2,11 +2,11 @@
 //!
 //! The paper's MD program "is parallelized with Message Passing
 //! Interface (MPI)" over Myrinet (§4). Here the processes are threads
-//! and the interconnect is crossbeam channels, but the programming
-//! model is the same: ranks, point-to-point send/recv with tags,
-//! barrier, all-reduce and gather. The [`parallel`](crate::parallel)
-//! module writes against this exactly as the paper's code wrote against
-//! MPI.
+//! and the interconnect is `std::sync::mpsc` channels, but the
+//! programming model is the same: ranks, point-to-point send/recv with
+//! tags, barrier, all-reduce and gather. The
+//! [`parallel`](crate::parallel) module writes against this exactly as
+//! the paper's code wrote against MPI.
 //!
 //! **Tracing**: every rank thread runs inside an
 //! [`mdm_profile::rank_scope`], so spans and watchdog violations it
@@ -17,9 +17,9 @@
 //! send→recv arrows between them. All of it is a no-op (one relaxed
 //! atomic load) when no timeline is recording.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A tagged message.
 struct Message {
@@ -191,7 +191,7 @@ where
     let mut senders = Vec::with_capacity(size);
     let mut receivers = Vec::with_capacity(size);
     for _ in 0..size {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }

@@ -9,9 +9,9 @@
 //! through the [`PhysicsWatchdogs`], and appends the event to a
 //! [`FlightRecorder`] JSONL stream. The per-step profiles are merged
 //! and returned so a caller that also wants an aggregate
-//! [`mdm_profile::report::StepReport`] (e.g. `profile_step`) does not
-//! lose anything by recording. [`run_recorded`] is the watchdogs-only
-//! convenience wrapper.
+//! [`RunSummary`] (e.g. `profile_step`) does not lose anything by
+//! recording. [`run_recorded`] is the watchdogs-only convenience
+//! wrapper.
 //!
 //! On top of the flight recorder, [`Instruments`] carries the two
 //! accuracy-telemetry probes of the paper's §5 evaluation:
@@ -36,7 +36,8 @@ use mdm_core::special::erfc;
 use mdm_profile::accuracy::{ForceErrorSample, SpeedSample};
 use mdm_profile::bus::{Bus, BusEvent, Subscription};
 use mdm_profile::events::{FlightRecorder, RunManifest, StepEvent};
-use mdm_profile::ledger::{self, EnvStamp, RunRecord};
+use mdm_profile::ledger::{self, EnvStamp};
+use mdm_profile::summary::RunSummary;
 use mdm_profile::timeseries::TimeSeries;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -240,10 +241,37 @@ impl SpeedMeter {
     }
 }
 
+/// Wavenumber-space flop credits of one window's engine counters:
+/// 29/35 per particle–wave DFT/IDFT op, or — for mesh backends (PME,
+/// PSWF), which count no particle–wave ops — the `longrange_flops`
+/// estimate their backend stamps.
+fn wave_flops(counter: impl Fn(&str) -> u64) -> f64 {
+    let (dft, idft) = (
+        counter("wine_dft_ops") as f64,
+        counter("wine_idft_ops") as f64,
+    );
+    if dft + idft > 0.0 {
+        mdm_core::flops::FLOPS_PER_WAVE_DFT * dft + mdm_core::flops::FLOPS_PER_WAVE_IDFT * idft
+    } else {
+        counter("longrange_flops") as f64
+    }
+}
+
+/// Price a summary's engine counters with the paper's §2 flop credits
+/// (59 per Coulomb pair; 29/35 per particle–wave op, or the mesh
+/// backends' `longrange_flops`, for the wavenumber part)
+/// against its measured wall-clock (see [`RunSummary::set_flops`]).
+pub fn price_flops(summary: &mut RunSummary) {
+    let counter = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
+    let real = mdm_core::flops::FLOPS_PER_REAL_PAIR * counter("mdg_coulomb_pair_ops") as f64;
+    let wave = wave_flops(counter);
+    summary.set_flops(real, wave);
+}
+
 /// Where [`run_instrumented`] should append its one-line run summary.
 ///
 /// `tool` and `label` are the trend-grouping key the dashboard uses;
-/// the rest of the [`RunRecord`] is derived from the run itself.
+/// the rest of the [`RunSummary`] is derived from the run itself.
 #[derive(Clone, Copy, Debug)]
 pub struct LedgerSink<'a> {
     /// Ledger file (JSONL, crash-safe append — see
@@ -271,7 +299,7 @@ pub struct Instruments<'a> {
     /// Live flop meter; emits `raw_tflops` / `effective_tflops`
     /// observables from the step's drained interaction counters.
     pub meter: Option<&'a SpeedMeter>,
-    /// When set, one [`RunRecord`] summarizing the run is appended to
+    /// When set, one [`RunSummary`] of the run is appended to
     /// this ledger on completion. `None` (the default) writes nothing,
     /// so library and test callers never touch `results/ledger.jsonl`.
     pub ledger: Option<LedgerSink<'a>>,
@@ -294,7 +322,7 @@ pub struct RecordedRun {
     /// [`Simulation::run`]: mdm_core::integrate::Simulation::run
     pub records: Vec<StepRecord>,
     /// All per-step profiles merged (span times summed, `_max`
-    /// counters maxed) — feed to `StepReport::from_profile` for an
+    /// counters maxed) — feed to [`RunSummary::from_profile`] for an
     /// aggregate view.
     pub profile: mdm_profile::Profile,
     /// Total watchdog violations across the run.
@@ -419,28 +447,13 @@ pub fn run_instrumented<F: ForceField, W: Write>(
 
         if let Some(meter) = inst.meter {
             let counter = |name: &str| profile.counters.get(name).copied().unwrap_or(0);
-            let (dft, idft) = (counter("wine_dft_ops"), counter("wine_idft_ops"));
-            // Backends with paper-credited particle–wave ops are priced
-            // by the §2 constants; mesh backends stamp their estimated
-            // flop cost on `longrange_flops` instead.
-            let speed = if dft + idft > 0 {
-                meter.sample(
-                    record.step,
-                    wall,
-                    counter("mdg_coulomb_pair_ops"),
-                    dft,
-                    idft,
-                    last_error,
-                )
-            } else {
-                meter.sample_with_wave_flops(
-                    record.step,
-                    wall,
-                    counter("mdg_coulomb_pair_ops"),
-                    counter("longrange_flops") as f64,
-                    last_error,
-                )
-            };
+            let speed = meter.sample_with_wave_flops(
+                record.step,
+                wall,
+                counter("mdg_coulomb_pair_ops"),
+                wave_flops(counter),
+                last_error,
+            );
             event
                 .observables
                 .insert("raw_tflops".to_string(), speed.raw_tflops());
@@ -486,7 +499,7 @@ pub fn run_instrumented<F: ForceField, W: Write>(
         bus_dropped_events: inst.bus.map_or(0, Bus::dropped_events),
     };
     if let Some(sink) = inst.ledger {
-        ledger::append_record(sink.path, &ledger_record(sink.tool, sink.label, sim, &run))?;
+        ledger::append_record(sink.path, &summarize(sink, sim, &run))?;
     }
     Ok(run)
 }
@@ -524,73 +537,58 @@ fn stamp_wall_fraction_gauges(event: &mut StepEvent, profile: &mdm_profile::Prof
     }
 }
 
-/// Reduce a recorded run to its one-line ledger summary: per-step phase
-/// seconds, measured Gflops, speed/accuracy aggregates, mean gauges,
-/// and the environment stamp.
-pub fn ledger_record<F: ForceField>(
-    tool: &str,
-    label: &str,
+/// The run's ledger summary: per-step phase seconds, measured Gflops,
+/// speed/accuracy aggregates, mean gauges, and the environment stamp —
+/// priced the same way as a `profile_step` summary.
+fn summarize<F: ForceField>(
+    sink: LedgerSink,
     sim: &Simulation<F>,
     run: &RecordedRun,
-) -> RunRecord {
-    let steps = run.records.len().max(1) as f64;
-    // The merged profile reduced exactly as one step event would be:
-    // top-level spans become phases (here run totals, so ÷ steps).
-    let aggregate = StepEvent::from_profile(0, run.wall_seconds, &run.profile);
+) -> RunSummary {
+    let mut top_level: Vec<&str> = run
+        .profile
+        .spans
+        .keys()
+        .map(String::as_str)
+        .filter(|path| !path.contains('.'))
+        .collect();
+    top_level.sort_unstable();
+    let mut summary = RunSummary::from_profile(
+        sink.label,
+        sim.system().len() as u64,
+        run.records.len() as u64,
+        run.wall_seconds,
+        &run.profile,
+        &top_level,
+    );
+    summary.tool = sink.tool.to_string();
+    summary.threads = rayon::current_num_threads() as u64;
+    price_flops(&mut summary);
     let speed_wall: f64 = run.speeds.iter().map(|s| s.wall_seconds).sum();
-    let mut gflops = std::collections::BTreeMap::new();
-    let mut raw_tflops = None;
-    let mut effective_tflops = None;
     if speed_wall > 0.0 {
-        let real: f64 = run.speeds.iter().map(|s| s.real_flops).sum();
-        let wave: f64 = run.speeds.iter().map(|s| s.wave_flops).sum();
-        gflops.insert("real".to_string(), real / speed_wall / 1e9);
-        gflops.insert("wave".to_string(), wave / speed_wall / 1e9);
-        raw_tflops = Some((real + wave) / speed_wall / 1e12);
         // Wall-weighted mean of the per-step effective speeds.
         let effective: f64 = run
             .speeds
             .iter()
             .map(|s| s.effective_flops_per_s() * s.wall_seconds)
             .sum();
-        effective_tflops = Some(effective / speed_wall / 1e12);
+        summary.effective_tflops = Some(effective / speed_wall / 1e12);
     }
-    let mut record = RunRecord {
-        tool: tool.to_string(),
-        label: label.to_string(),
-        threads: rayon::current_num_threads() as u64,
-        n_particles: sim.system().len() as u64,
-        steps: run.records.len() as u64,
-        wall_seconds_per_step: run.wall_seconds / steps,
-        phases: aggregate
-            .phases
-            .iter()
-            .map(|(name, total)| (name.clone(), total / steps))
-            .collect(),
-        gflops,
-        raw_tflops,
-        effective_tflops,
-        worst_force_error: run
-            .force_errors
-            .iter()
-            .map(ForceErrorSample::relative)
-            .fold(None, |worst: Option<f64>, e| {
-                Some(worst.map_or(e, |w| w.max(e)))
-            }),
-        violations: run.violations,
-        pressure_supported: true,
-        gauges: run
-            .timeseries
-            .series
-            .iter()
-            .filter_map(|(name, series)| Some((name.clone(), series.mean()?)))
-            .collect(),
-        bus_dropped_events: run.bus_dropped_events,
-        ..RunRecord::default()
-    };
-    record.stamp_now();
-    record.stamp_env(&env_stamp());
-    record
+    summary.worst_force_error = run
+        .force_errors
+        .iter()
+        .map(ForceErrorSample::relative)
+        .reduce(f64::max);
+    summary.violations = run.violations;
+    summary.gauges = run
+        .timeseries
+        .series
+        .iter()
+        .filter_map(|(name, series)| Some((name.clone(), series.mean()?)))
+        .collect();
+    summary.bus_dropped_events = run.bus_dropped_events;
+    summary.stamp(&env_stamp());
+    summary
 }
 
 /// Environment variable naming the telemetry endpoint
@@ -752,6 +750,13 @@ mod tests {
     use mdm_profile::events::parse_jsonl;
     use mdm_profile::json::Value;
 
+    /// The profiling registry is process-global and the run loop drains
+    /// it every step, so tests that run the loop must not overlap.
+    fn registry() -> std::sync::MutexGuard<'static, ()> {
+        static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn software_sim(dt: f64) -> Simulation<EwaldTosiFumi> {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         maxwell_boltzmann(&mut s, 300.0, 11);
@@ -774,6 +779,7 @@ mod tests {
 
     #[test]
     fn recorded_run_streams_manifest_steps_and_observables() {
+        let _registry = registry();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
@@ -803,6 +809,7 @@ mod tests {
 
     #[test]
     fn watchdog_violations_land_on_the_offending_step() {
+        let _registry = registry();
         // Unstable timestep (see mdm-core observables tests): the
         // energy-drift violations must appear in the JSONL stream.
         let mut sim = software_sim(40.0);
@@ -879,6 +886,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_streams_accuracy_observables() {
+        let _registry = registry();
         let mut sim = mdm_sim();
         let l = sim.system().simbox().l();
         let n = sim.system().len() as u64;
@@ -937,6 +945,7 @@ mod tests {
 
     #[test]
     fn degraded_run_trips_the_force_error_watchdog() {
+        let _registry = registry();
         use mdm_core::ewald::EwaldParams;
         let s = perturbed_nacl();
         let l = s.simbox().l();
@@ -1011,6 +1020,7 @@ mod tests {
 
     #[test]
     fn pressure_streams_on_software_and_emulated_runs() {
+        let _registry = registry();
         // Software Ewald reports a virial → pressure_gpa is streamed.
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
@@ -1043,6 +1053,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_collects_the_utilization_timeseries() {
+        let _registry = registry();
         let mut sim = mdm_sim();
         let manifest = mdm_manifest("ts-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
@@ -1082,6 +1093,7 @@ mod tests {
 
     #[test]
     fn ledger_sink_appends_one_summary_row() {
+        let _registry = registry();
         let path = std::env::temp_dir().join(format!(
             "mdm_telemetry_ledger_{}.jsonl",
             std::process::id()
@@ -1109,7 +1121,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (rows, skipped) = mdm_profile::ledger::read_ledger(&path).unwrap();
+        let (rows, skipped) = ledger::read_ledger(&path).unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -1117,20 +1129,20 @@ mod tests {
         assert_eq!(row.label, "ledger-test");
         assert_eq!(row.n_particles, n);
         assert_eq!(row.steps, 2);
-        assert!((row.wall_seconds_per_step - run.wall_seconds / 2.0).abs() < 1e-12);
-        assert!(row.phases.contains_key("real"));
+        assert!((row.seconds_per_step - run.wall_seconds / 2.0).abs() < 1e-12);
+        assert!(row.phase("real").is_some());
         assert!(row.gflops["real"] > 0.0);
         assert!(row.raw_tflops.unwrap() > 0.0);
         assert!(row.effective_tflops.unwrap() > 0.0);
-        assert!(row.pressure_supported);
         assert!(row.gauges.contains_key("mdg.occupancy"));
         assert!(row.threads >= 1);
-        assert_eq!(row.git_sha, manifest.git_sha);
+        assert_eq!(row.env.git_sha, manifest.git_sha);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn instrumented_run_publishes_every_step_on_the_bus() {
+        let _registry = registry();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();

@@ -21,16 +21,18 @@
 //!   maximum instead (names ending in `_max` merge by maximum too, so
 //!   high-water marks survive [`Profile::merge`]).
 //! * [`take`] drains the registry into a [`Profile`] snapshot;
-//!   [`report::StepReport`] turns a profile plus modeled seconds into
-//!   the serializable per-step record.
+//!   [`summary::RunSummary`] turns a profile plus modeled seconds into
+//!   the one serializable run record (a `BENCH_step.json` entry and a
+//!   run-ledger line alike).
 //! * An optional **timeline** ([`timeline_start`]/[`timeline_stop`])
 //!   additionally records every span occurrence with its wall-clock
 //!   placement, feeding the Chrome-trace exporter in [`trace`].
 //!
 //! The run-telemetry layer builds on these primitives: [`events`] is
 //! the per-step JSONL flight recorder, [`watchdog`] holds the generic
-//! threshold monitors, and [`compare`] diffs two benchmark files for
-//! the perf-regression gate. The accuracy-telemetry layer adds
+//! threshold monitors, [`ledger`] appends summaries to the run ledger,
+//! and [`gate`] judges them against the committed baseline or their
+//! trailing history. The accuracy-telemetry layer adds
 //! [`histogram`] (log-bucketed distributions — [`histogram_record`] /
 //! [`histogram_merge`] put them in the registry next to counters) and
 //! [`accuracy`] (RMS-force-error and effective-speed report types,
@@ -43,13 +45,13 @@
 
 pub mod accuracy;
 pub mod bus;
-pub mod compare;
 pub mod critical_path;
 pub mod events;
+pub mod gate;
 pub mod histogram;
 pub mod json;
 pub mod ledger;
-pub mod report;
+pub mod summary;
 pub mod timeseries;
 pub mod trace;
 pub mod watchdog;

@@ -48,7 +48,8 @@ use mdm_host::telemetry::{mdm_manifest, pump_subscription, run_instrumented, Ins
 use mdm_profile::bus::Bus;
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::{obj, Value};
-use mdm_profile::ledger::{append_record, EnvStamp, RunRecord};
+use mdm_profile::ledger::{append_record, EnvStamp};
+use mdm_profile::summary::RunSummary;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -685,26 +686,24 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
     }
     if let Some(ledger_path) = &inner.cfg.ledger {
         let steps = slot.spec.steps.max(1) as f64;
-        let mut record = RunRecord {
+        let mut summary = RunSummary {
             tool: "mdm-serve".to_string(),
             label: job.to_string(),
             threads: inner.cfg.boards.max(1) as u64,
             n_particles: slot.spec.n_particles(),
             steps: slot.spec.steps,
-            wall_seconds_per_step: slot.wall_seconds / steps,
+            seconds_per_step: slot.wall_seconds / steps,
             violations: slot.violations,
-            pressure_supported: true,
             gauges: [(
                 "jstore_upload_bytes_per_step".to_string(),
                 slot.upload_bytes as f64 / steps,
             )]
             .into_iter()
             .collect(),
-            ..RunRecord::default()
+            ..RunSummary::default()
         };
-        record.stamp_now();
-        record.stamp_env(&EnvStamp::detect(Path::new(".")));
-        let _ = append_record(ledger_path, &record);
+        summary.stamp(&EnvStamp::detect(Path::new(".")));
+        let _ = append_record(ledger_path, &summary);
     }
 }
 
