@@ -211,16 +211,18 @@ impl MdgBoard {
     }
 
     /// Run a block-2 pass (eqs. 7–8) for the i-particles
-    /// `batch[range]` against the resident j-store, one whole j-cell per
-    /// pipeline dispatch. Returns one accumulator per i-particle in
-    /// range order. i-particles are dealt round-robin to the 8
-    /// pipelines; the board result does not depend on the dealing
-    /// because each i has its own accumulator.
+    /// `batch[range]` against the resident j-store. Returns one
+    /// accumulator per i-particle in range order. i-particles are dealt
+    /// round-robin to the 8 pipelines and their pair ops to the chips
+    /// (`idx % CHIPS_PER_BOARD`); the result does not depend on the
+    /// dealing because each i has its own accumulator.
     ///
-    /// Bitwise identical to [`Self::calc_block2_per_pair`] over the same
-    /// particles: the batch kernel preserves the per-pair f32 operation
-    /// sequence and the f64 accumulation order (slots in cell order,
-    /// cells in 27-stencil order).
+    /// With AVX-512 F + DQ the pass runs on i-lanes (`lanes.rs`: 16
+    /// same-cell i-particles per register share one broadcast
+    /// j-stream); elsewhere on the scalar loop. Both are bitwise
+    /// identical to [`Self::calc_block2_per_pair`]: they keep the
+    /// per-pair f32 operation sequence and each i's f64 accumulation
+    /// order (slots in cell order, cells in 27-stencil order).
     pub fn calc_block2(
         &mut self,
         mode: PipelineMode,
@@ -229,12 +231,38 @@ impl MdgBoard {
         jstore: &JStore,
     ) -> Vec<PairAccum> {
         let _ftz = FtzGuard::new();
+        let mut out = vec![PairAccum::default(); range.len()];
+        // Force read-back: 24 B per i-particle (3 × f64).
+        self.bus_bytes += (out.len() * 24) as u64;
+        #[cfg(target_arch = "x86_64")]
+        if crate::lanes::available() {
+            let chip = &self.chips[0];
+            // SAFETY: `available` detected AVX-512 F and DQ.
+            unsafe { crate::lanes::calc_block2(mode, chip, batch, range, jstore, &mut out) }
+            for (idx, acc) in out.iter().enumerate() {
+                self.chips[idx % CHIPS_PER_BOARD].add_ops(acc.ops);
+            }
+            return out;
+        }
+        self.block2_scalar(mode, batch, range, jstore, &mut out);
+        out
+    }
+
+    /// The scalar body of [`Self::calc_block2`]: the fallback without
+    /// AVX-512, and the reference the i-lanes are tested against.
+    fn block2_scalar(
+        &mut self,
+        mode: PipelineMode,
+        batch: &IBatch,
+        range: std::ops::Range<usize>,
+        jstore: &JStore,
+        out: &mut [PairAccum],
+    ) {
         self.coeff_cols
             .build(self.chips[0].coefficients(), jstore.types());
         let cols = &self.coeff_cols;
         let chips = &mut self.chips;
-        let mut out = vec![PairAccum::default(); range.len()];
-        for (idx, (i, acc)) in range.clone().zip(out.iter_mut()).enumerate() {
+        for (idx, (i, acc)) in range.zip(out.iter_mut()).enumerate() {
             let chip = idx % CHIPS_PER_BOARD;
             let pipe = (idx / CHIPS_PER_BOARD) % PIPELINES_PER_CHIP;
             let xi = [batch.xs[i], batch.ys[i], batch.zs[i]];
@@ -265,9 +293,6 @@ impl MdgBoard {
                 );
             }
         }
-        // Force read-back: 24 B per i-particle (3 × f64).
-        self.bus_bytes += (range.len() * 24) as u64;
-        out
     }
 
     /// The pre-batching per-pair reference implementation of
@@ -422,18 +447,6 @@ mod tests {
         (sb, pos, ty)
     }
 
-    fn i_particles(pos: &[Vec3], ty: &[u8], js: &JStore) -> Vec<IParticle> {
-        pos.iter()
-            .enumerate()
-            .map(|(i, p)| IParticle {
-                pos: [p.x as f32, p.y as f32, p.z as f32],
-                ty: ty[i],
-                cell: js.cell_of(i) as u32,
-                original: i as u32,
-            })
-            .collect()
-    }
-
     #[test]
     fn block2_ops_equal_block_pair_count() {
         let (sb, pos, ty) = config(120, 15.0);
@@ -446,21 +459,113 @@ mod tests {
         assert_eq!(b.ops(), js.block_pair_count());
     }
 
-    #[test]
-    fn batched_block2_is_bitwise_identical_to_per_pair() {
-        let (sb, pos, ty) = config(100, 14.0);
-        let js = JStore::build(sb, &pos, &ty, 4.5);
-        let mut b1 = board(GFunction::Dispersion6Force, 1.0, -6.0);
-        let mut b2 = board(GFunction::Dispersion6Force, 1.0, -6.0);
+    /// `calc_block2` (on i-lanes where the CPU has AVX-512 F + DQ), the
+    /// scalar loop and the per-pair reference on the same inputs, in
+    /// both modes: equal accumulator bits, per-i ops and per-chip ops.
+    fn assert_paths_agree(
+        coeffs: &AtomCoefficients,
+        batch: &IBatch,
+        range: std::ops::Range<usize>,
+        js: &JStore,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if !crate::lanes::available() {
+            eprintln!("AVX-512 F/DQ not available on this host: calc_block2 is the scalar loop");
+        }
+        let ev = GFunction::CoulombRealForce.build_evaluator().unwrap();
+        let records: Vec<IParticle> = range
+            .clone()
+            .map(|i| IParticle {
+                pos: [batch.xs[i], batch.ys[i], batch.zs[i]],
+                ty: batch.types[i],
+                cell: batch.cells[i],
+                original: match batch.self_slots[i] {
+                    NO_SELF_SLOT => u32::MAX,
+                    slot => js.original_index(slot as usize) as u32,
+                },
+            })
+            .collect();
         for mode in [PipelineMode::Force, PipelineMode::Potential] {
-            let batch = IBatch::stage(&pos, &ty, &js);
-            let batched = b1.calc_block2(mode, &batch, 0..batch.len(), &js);
-            let per_pair = b2.calc_block2_per_pair(mode, &i_particles(&pos, &ty, &js), &js);
-            for (i, (a, b)) in batched.iter().zip(&per_pair).enumerate() {
-                assert_eq!(a.acc, b.acc, "particle {i} ({mode:?})");
-                assert_eq!(a.ops, b.ops, "particle {i} ({mode:?})");
+            let run = |path: &str| {
+                let mut b = MdgBoard::new(ev.clone(), coeffs.clone());
+                let out = match path {
+                    "calc_block2" => b.calc_block2(mode, batch, range.clone(), js),
+                    "scalar" => {
+                        let _ftz = FtzGuard::new();
+                        let mut out = vec![PairAccum::default(); range.len()];
+                        b.block2_scalar(mode, batch, range.clone(), js, &mut out);
+                        out
+                    }
+                    _ => b.calc_block2_per_pair(mode, &records, js),
+                };
+                let per_i: Vec<_> = out
+                    .iter()
+                    .map(|a| (a.acc.map(f64::to_bits), a.ops))
+                    .collect();
+                let per_chip: Vec<_> = b.chips.iter().map(|c| c.ops()).collect();
+                (per_i, per_chip)
+            };
+            let got = run("calc_block2");
+            for path in ["scalar", "per-pair"] {
+                let want = run(path);
+                assert_eq!(got.1, want.1, "{mode:?} {range:?} vs {path}: per-chip ops");
+                for (k, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+                    assert_eq!(g, w, "{mode:?} {range:?} vs {path}: i-particle {k}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn lanes_bitwise_match_scalar_path() {
+        // Three species. a = 1e-14 puts every (0, 1) pair closer than
+        // 9.5 Å below the table's first segment (2⁻⁴⁰); a = 1e6 puts
+        // every (1, 2) pair farther than 4.1 Å beyond its last (2²⁴).
+        let coeffs = AtomCoefficients::new(
+            &[
+                vec![1.0, 1e-14, 0.5],
+                vec![1e-14, 2.0, 1e6],
+                vec![0.5, 1e6, 0.25],
+            ],
+            &[
+                vec![-1.0, 2.0, 0.5],
+                vec![2.0, -3.0, 1.5],
+                vec![0.5, 1.5, 4.0],
+            ],
+        );
+        let (sb, mut pos, _) = config(500, 14.0);
+        pos[1] = pos[0]; // coincident pair: x = 0
+        pos[7].y = f64::NAN;
+        let ty: Vec<u8> = (0..pos.len()).map(|i| (i % 3) as u8).collect();
+        let js = JStore::build(sb, &pos, &ty, 4.5);
+        let mut occupancy = (0..js.n_cells()).map(|c| js.cell_range(c).len());
+        assert!(occupancy.any(|o| o > 16 && o % 16 != 0));
+        let n = pos.len();
+        let staged = IBatch::stage(&pos, &ty, &js);
+        for range in [0..n, 0..n / 3, n / 3..n] {
+            assert_paths_agree(&coeffs, &staged, range, &js);
+        }
+
+        // Rebuilt from slot-ordered positions, the store's slots are the
+        // batch order (its sort is stable), so ranges start mid-cell.
+        let pos: Vec<Vec3> = (0..n).map(|s| pos[js.original_index(s)]).collect();
+        let ty: Vec<u8> = (0..n).map(|s| ty[js.original_index(s)]).collect();
+        let js = JStore::build(sb, &pos, &ty, 4.5);
+        let sorted = IBatch::stage(&pos, &ty, &js);
+        let (c1, c5) = (js.cell_range(1), js.cell_range(5));
+        let (mid1, mid5) = (c1.start + c1.len() / 2, c5.start + 3);
+        for range in [mid1..mid5, mid5..n, c1.start + 1..c1.end - 1] {
+            assert_paths_agree(&coeffs, &sorted, range, &js);
+        }
+
+        // An i-set disjoint from the j-store: no self slot to skip.
+        let (_, other, _) = config(70, 14.0);
+        let other: Vec<Vec3> = other.iter().map(|p| Vec3::new(p.z, p.x, p.y)).collect();
+        let other_ty: Vec<u8> = (0..other.len()).map(|i| (i % 3) as u8).collect();
+        let home = JStore::build(sb, &other, &other_ty, 4.5);
+        let mut disjoint = IBatch::stage(&other, &other_ty, &home);
+        disjoint.self_slots.fill(NO_SELF_SLOT);
+        assert_paths_agree(&coeffs, &disjoint, 0..other.len(), &js);
     }
 
     #[test]

@@ -133,6 +133,17 @@ impl MdgChip {
         self.ops = 0;
     }
 
+    /// Credit pair ops the board evaluated for this chip outside its
+    /// pipelines (the i-lane kernel).
+    pub(crate) fn add_ops(&mut self, ops: u64) {
+        self.ops += ops;
+    }
+
+    /// The function table every pipeline of the chip holds.
+    pub(crate) fn evaluator(&self) -> &FunctionEvaluator {
+        self.pipelines[0].evaluator()
+    }
+
     /// Evaluate one i-particle against a stream of j-particles on
     /// pipeline `pipe`, accumulating into `acc`.
     #[allow(clippy::too_many_arguments)]

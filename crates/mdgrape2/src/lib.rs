@@ -49,6 +49,7 @@ pub mod chip;
 pub mod cluster;
 pub mod ftz;
 pub mod jstore;
+mod lanes;
 pub mod pipeline;
 pub mod system;
 pub mod tables;

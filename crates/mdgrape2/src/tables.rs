@@ -116,22 +116,24 @@ impl GFunction {
     }
 }
 
+/// Every built-in kernel.
+#[cfg(test)]
+pub(crate) const ALL: [GFunction; 10] = [
+    GFunction::CoulombRealForce,
+    GFunction::CoulombRealEnergy,
+    GFunction::BornMayerForce,
+    GFunction::BornMayerEnergy,
+    GFunction::Dispersion6Force,
+    GFunction::Dispersion6Energy,
+    GFunction::Dispersion8Force,
+    GFunction::Dispersion8Energy,
+    GFunction::LennardJonesForce,
+    GFunction::LennardJonesEnergy,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL: [GFunction; 10] = [
-        GFunction::CoulombRealForce,
-        GFunction::CoulombRealEnergy,
-        GFunction::BornMayerForce,
-        GFunction::BornMayerEnergy,
-        GFunction::Dispersion6Force,
-        GFunction::Dispersion6Energy,
-        GFunction::Dispersion8Force,
-        GFunction::Dispersion8Energy,
-        GFunction::LennardJonesForce,
-        GFunction::LennardJonesEnergy,
-    ];
 
     #[test]
     fn all_tables_build() {

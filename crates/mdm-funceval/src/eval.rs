@@ -138,12 +138,6 @@ impl FunctionEvaluator {
             }
         }
     }
-
-    /// Alias of [`Self::eval_batch`], kept for callers predating the
-    /// batched pipeline rework.
-    pub fn eval_slice(&self, xs: &[f32], out: &mut [f32]) {
-        self.eval_batch(xs, out);
-    }
 }
 
 #[cfg(test)]
@@ -187,11 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn eval_slice_matches_scalar() {
+    fn eval_batch_matches_scalar() {
         let ev = evaluator_for(|x| x.sqrt());
         let xs = [0.25f32, 1.0, 4.0, 16.0];
         let mut out = [0.0f32; 4];
-        ev.eval_slice(&xs, &mut out);
+        ev.eval_batch(&xs, &mut out);
         for (x, o) in xs.iter().zip(out) {
             assert_eq!(ev.eval(*x), o);
         }

@@ -560,7 +560,7 @@ impl MdmForceField {
     fn potential_passes(&mut self, system: &System, jstore: &JStore, kappa: f64) -> (f64, f64) {
         let coeffs = self.energy_coefficients(system, kappa);
         let mut totals = [0.0f64; 4];
-        for (pass, (table, coeff)) in self.energy_tables.clone().iter().zip(&coeffs).enumerate() {
+        for (pass, (table, coeff)) in self.energy_tables.iter().zip(&coeffs).enumerate() {
             {
                 let _comm = mdm_profile::span(mdm_profile::phase::COMM);
                 let _upload = mdm_profile::span("upload");
@@ -621,7 +621,7 @@ impl ForceField for MdmForceField {
         let mdg_section_start = std::time::Instant::now();
         let coeffs = self.force_coefficients(system, kappa);
         let mut forces = vec![Vec3::ZERO; n];
-        for (pass, (table, coeff)) in self.force_tables.clone().iter().zip(&coeffs).enumerate() {
+        for (pass, (table, coeff)) in self.force_tables.iter().zip(&coeffs).enumerate() {
             {
                 let _comm = mdm_profile::span(mdm_profile::phase::COMM);
                 let _upload = mdm_profile::span("upload");
