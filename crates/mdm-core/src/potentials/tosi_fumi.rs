@@ -146,7 +146,8 @@ impl TosiFumi {
 
 impl ShortRangePotential for TosiFumi {
     fn energy(&self, ti: usize, tj: usize, r: f64) -> f64 {
-        debug_assert!(r > 0.0);
+        // NaN passes (a bad position must reach the observables).
+        debug_assert!(r > 0.0 || r.is_nan(), "coincident pair: r = {r}");
         let rep = self.bm_prefactor[ti][tj] * (-r / self.params.rho).exp();
         let r2 = r * r;
         let r6 = r2 * r2 * r2;
@@ -155,7 +156,8 @@ impl ShortRangePotential for TosiFumi {
     }
 
     fn force_over_r(&self, ti: usize, tj: usize, r: f64) -> f64 {
-        debug_assert!(r > 0.0);
+        // NaN passes (a bad position must reach the observables).
+        debug_assert!(r > 0.0 || r.is_nan(), "coincident pair: r = {r}");
         // −φ'(r)/r with φ' = −B/ρ·e^(−r/ρ) + 6c/r⁷ + 8d/r⁹.
         let rep = self.bm_prefactor[ti][tj] * (-r / self.params.rho).exp() / (self.params.rho * r);
         let r2 = r * r;

@@ -449,42 +449,65 @@ impl MdmForceField {
         self.steps_since_potential = carry.steps_since;
     }
 
-    /// Host-side real-space virial `½ Σ f⃗·d⃗` over the hardware's
+    /// Host-side real-space virial `Σ f⃗·d⃗` over the hardware's
     /// block-pair set, in f64. The MDGRAPE-2 pipelines accumulate
     /// forces only, so the driver reduces the virial itself — at the
     /// potential cadence, carried stale between energy passes exactly
     /// like the potential.
+    ///
+    /// A host observable, not emulated silicon, so it uses Newton's
+    /// third law: each particle keeps its `j > i` block partners (the
+    /// 27 `neighbors27` entries list every periodic image once, on any
+    /// grid, and `r_cut ≤ L/2`), one rayon task per particle, summed
+    /// serially in index order — bitwise equal at every thread count.
     fn real_virial(&self, system: &System, kappa: f64) -> f64 {
         use mdm_core::potentials::ShortRangePotential;
+        use rayon::prelude::*;
         let _host = mdm_profile::span(mdm_profile::phase::HOST);
         let r_cut = self.params.r_cut.min(system.simbox().max_cutoff());
         let r_cut_sq = r_cut * r_cut;
-        let cl =
-            mdm_core::celllist::CellList::build(system.simbox(), system.positions(), r_cut);
+        let positions = system.positions();
+        let cl = mdm_core::celllist::CellList::build(system.simbox(), positions, r_cut);
         let charges = system.charges();
         let types = system.types();
-        let mut virial = 0.0;
-        cl.for_each_block_pair(system.positions(), |i, j, _d, r_sq| {
-            // The boards evaluate every block pair (no cutoff), but the
-            // pressure observable is defined against the truncated
-            // interaction — the same r_cut the f64 reference applies.
-            // The dispersion virial tail beyond r_cut is ~6x its energy
-            // tail, so keeping it here would put the reported pressure
-            // >1% away from the reference's.
-            if r_sq > r_cut_sq {
-                return;
-            }
-            let r = r_sq.sqrt();
-            let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
-            let qq = COULOMB_EV_A * charges[i] * charges[j];
-            let fs = self
-                .short
-                .force_over_r(types[i] as usize, types[j] as usize, r);
-            // f⃗ = d⃗·(qq·f_over_r + fs), so f⃗·d⃗ = (qq·f_over_r + fs)·r²;
-            // ordered pairs double-count, hence the ½.
-            virial += 0.5 * (qq * f_over_r + fs) * r_sq;
-        });
-        virial
+        let per_particle: Vec<f64> = (0..positions.len())
+            .into_par_iter()
+            .map(|i| {
+                let ri = positions[i];
+                let mut virial = 0.0;
+                for (neighbor, shift) in cl.neighbors27(cl.cell_of(i)) {
+                    for &ju in cl.particles_in(neighbor) {
+                        let j = ju as usize;
+                        if j <= i {
+                            continue;
+                        }
+                        let r_sq = (ri - (positions[j] + shift)).norm_sq();
+                        // The boards evaluate every block pair (no
+                        // cutoff), but the pressure observable is defined
+                        // against the truncated interaction — the same
+                        // r_cut the f64 reference applies. The dispersion
+                        // virial tail beyond r_cut is ~6x its energy
+                        // tail, so keeping it here would put the reported
+                        // pressure >1% away from the reference's. `>`
+                        // keeps a NaN r², so a bad position reaches the
+                        // result.
+                        if r_sq > r_cut_sq {
+                            continue;
+                        }
+                        let r = r_sq.sqrt();
+                        let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
+                        let qq = COULOMB_EV_A * charges[i] * charges[j];
+                        let fs = self
+                            .short
+                            .force_over_r(types[i] as usize, types[j] as usize, r);
+                        // f⃗ = d⃗·(qq·f_over_r + fs), so f⃗·d⃗ = (qq·f_over_r + fs)·r².
+                        virial += (qq * f_over_r + fs) * r_sq;
+                    }
+                }
+                virial
+            })
+            .collect();
+        per_particle.iter().sum()
     }
 
     /// Real-space pair interactions of the last Coulomb force pass —
@@ -942,5 +965,103 @@ mod tests {
         let rec = sim.run(20);
         let drift = ((rec.last().unwrap().total - e0) / e0).abs();
         assert!(drift < 5e-4, "drift {drift}");
+    }
+
+    /// Every ion off its site by a deterministic ~0.3 Å pattern: a
+    /// disordered state with no cancelling pair sums.
+    fn jittered(cells: usize) -> System {
+        let mut s = rocksalt_nacl(cells, NACL_LATTICE_A);
+        s.displace_all(|i| {
+            let x = i as f64;
+            Vec3::new((1.7 * x).sin(), (2.3 * x + 1.0).sin(), (3.1 * x + 2.0).sin()) * 0.3
+        });
+        s
+    }
+
+    /// Ewald parameters at accuracy 3.2 with `r_cut = frac·L`.
+    fn params_at(frac: f64, l: f64) -> EwaldParams {
+        EwaldParams::from_alpha_accuracy(3.2 / frac, 3.2, 3.2, l)
+    }
+
+    /// Cells per side of the grid `real_virial` builds.
+    fn virial_grid(params: &EwaldParams, s: &System) -> usize {
+        let r_cut = params.r_cut.min(s.simbox().max_cutoff());
+        mdm_core::celllist::CellList::build(s.simbox(), s.positions(), r_cut).cells_per_side()
+    }
+
+    /// The previous host virial, kept as the reference: `½ Σ` over
+    /// every ordered block pair inside r_cut.
+    fn ordered_pair_virial(ff: &MdmForceField, s: &System) -> f64 {
+        use mdm_core::potentials::ShortRangePotential;
+        let kappa = ff.params.kappa(s.simbox().l());
+        let r_cut = ff.params.r_cut.min(s.simbox().max_cutoff());
+        let r_cut_sq = r_cut * r_cut;
+        let cl = mdm_core::celllist::CellList::build(s.simbox(), s.positions(), r_cut);
+        let (charges, types) = (s.charges(), s.types());
+        let mut virial = 0.0;
+        cl.for_each_block_pair(s.positions(), |i, j, _d, r_sq| {
+            if r_sq > r_cut_sq {
+                return;
+            }
+            let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
+            let qq = COULOMB_EV_A * charges[i] * charges[j];
+            let fs = ff
+                .short
+                .force_over_r(types[i] as usize, types[j] as usize, r_sq.sqrt());
+            virial += 0.5 * (qq * f_over_r + fs) * r_sq;
+        });
+        virial
+    }
+
+    #[test]
+    fn half_pair_virial_matches_ordered_pair_formula_on_every_grid() {
+        // The virial grid is built at min(r_cut, L/2), so it has at
+        // least 2 cells per side: r_cut ≥ L/2 is the coarsest case.
+        let tables = MdmTables::build().unwrap();
+        for (cells, frac, m) in [
+            (2, 0.6, 2),
+            (2, 0.5, 2),
+            (2, 0.45, 2),
+            (3, 1.0 / 3.06, 3),
+            (4, 1.0 / 4.2, 4),
+            (5, 1.0 / 5.2, 5),
+        ] {
+            let s = jittered(cells);
+            let l = s.simbox().l();
+            let params = params_at(frac, l);
+            assert_eq!(virial_grid(&params, &s), m, "cells {cells}, r_cut {frac}·L");
+            let ff = MdmForceField::with_tables(params, 1, 1, tables.clone());
+            let at = |threads| {
+                rayon::with_num_threads(threads, || ff.real_virial(&s, params.kappa(l)))
+            };
+            let half = at(1);
+            // The ordered collect keeps the sum bitwise across thread
+            // counts, on the coarse grids too (which `compute` cannot
+            // reach: the boards need ≥ 3 cells per side).
+            assert_eq!(half.to_bits(), at(4).to_bits(), "m = {m}: thread count moved the virial");
+            let ordered = ordered_pair_virial(&ff, &s);
+            let rel = ((half - ordered) / ordered).abs();
+            assert!(rel < 1e-12, "m = {m}: {half} vs {ordered} (rel {rel:e})");
+        }
+    }
+
+    #[test]
+    fn nan_position_gives_a_nan_virial() {
+        // Fault injection: one NaN coordinate must reach the pressure as
+        // NaN, never as a plausible finite number.
+        let tables = MdmTables::build().unwrap();
+        let mut s = jittered(2);
+        s.displace(7, Vec3::new(f64::NAN, 0.0, 0.0));
+        let l = s.simbox().l();
+        let mut ff = MdmForceField::nacl_default_with_tables(l, tables.clone());
+        assert_eq!(virial_grid(ff.params(), &s), 3);
+        let virial = ff.compute(&s).virial;
+        assert!(virial.is_nan(), "NaN position gave virial {virial}");
+        // Below 3 cells per side the j-store refuses to build, so only
+        // the host reduction itself can see such a grid.
+        let coarse = MdmForceField::with_tables(params_at(0.45, l), 1, 1, tables);
+        assert_eq!(virial_grid(coarse.params(), &s), 2);
+        let virial = coarse.real_virial(&s, coarse.params().kappa(l));
+        assert!(virial.is_nan(), "m = 2: NaN position gave virial {virial}");
     }
 }
